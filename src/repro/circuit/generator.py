@@ -77,10 +77,15 @@ class CircuitSpec:
             raise ValueError("locality must be within [0, 1]")
 
 
+_GATE_TYPES, _GATE_WEIGHTS = zip(*_GATE_MIX)
+#: The CDF ``Generator.choice(p=...)`` builds from ``_GATE_MIX``, so one
+#: uniform draw searched in it picks the gate type ``rng.choice`` would.
+_GATE_CDF = np.cumsum(np.array(_GATE_WEIGHTS) / np.sum(_GATE_WEIGHTS))
+_GATE_CDF /= _GATE_CDF[-1]
+
+
 def _sample_gate_type(rng: np.random.Generator) -> GateType:
-    names = [t for t, _ in _GATE_MIX]
-    weights = np.array([w for _, w in _GATE_MIX])
-    return names[int(rng.choice(len(names), p=weights / weights.sum()))]
+    return _GATE_TYPES[int(_GATE_CDF.searchsorted(rng.random(), side="right"))]
 
 
 def generate_circuit(spec: CircuitSpec) -> Circuit:
@@ -165,18 +170,13 @@ def generate_circuit(spec: CircuitSpec) -> Circuit:
             circuit.add_gate(ff_name, GateType.DFF, [source])
             unused.pop(source, None)
 
-    # Primary outputs: requested count plus anything still unread.
+    # Primary outputs: the requested count of the latest gates, plus every
+    # other gate or flip-flop output still unread.
     n_outputs = spec.n_primary_outputs or max(1, spec.n_gates // 8)
-    candidates = [g for g in reversed(gate_names) if g not in circuit.primary_outputs]
-    chosen: List[str] = []
-    for net in candidates:
-        if len(chosen) >= n_outputs:
-            break
-        chosen.append(net)
-    leftover = [net for net in unused if net in circuit.gates and net not in chosen]
-    for net in chosen + sorted(leftover):
-        if net not in circuit.primary_outputs:
-            circuit.add_output(net)
+    chosen = gate_names[::-1][:n_outputs]
+    leftover = sorted(circuit.gates.keys() & (unused.keys() - set(chosen)))
+    for net in chosen + leftover:
+        circuit.add_output(net)
 
     circuit.validate()
     return circuit

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from hashlib import blake2b
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.circuit.gates import GateType
 
@@ -56,6 +56,8 @@ class Circuit:
         self.name = name
         self._inputs: List[str] = []
         self._outputs: List[str] = []
+        self._input_set: Set[str] = set()
+        self._output_set: Set[str] = set()
         self._gates: Dict[str, Gate] = {}
         self._order_cache: Optional[List[str]] = None
         self._structure_token: Optional[object] = None
@@ -64,20 +66,22 @@ class Circuit:
     # -- construction -----------------------------------------------------
     def add_input(self, name: str) -> None:
         """Declare a primary input net."""
-        if name in self._inputs:
+        if name in self._input_set:
             raise CircuitError(f"duplicate primary input {name!r}")
         if name in self._gates:
             raise CircuitError(f"net {name!r} already driven by a gate")
         self._inputs.append(name)
+        self._input_set.add(name)
         self._order_cache = None
         self._structure_token = None
         self._structure_digest = None
 
     def add_output(self, name: str) -> None:
         """Declare a primary output net (must be driven by a PI or a gate)."""
-        if name in self._outputs:
+        if name in self._output_set:
             raise CircuitError(f"duplicate primary output {name!r}")
         self._outputs.append(name)
+        self._output_set.add(name)
         self._order_cache = None
         self._structure_token = None
         self._structure_digest = None
@@ -86,7 +90,7 @@ class Circuit:
         """Add a gate driving net ``output``; returns the created gate."""
         if output in self._gates:
             raise CircuitError(f"net {output!r} already driven by a gate")
-        if output in self._inputs:
+        if output in self._input_set:
             raise CircuitError(f"net {output!r} is a primary input")
         gate = Gate(output=output, gate_type=gate_type, inputs=tuple(inputs))
         self._gates[output] = gate
@@ -145,7 +149,7 @@ class Circuit:
 
     def is_primary_input(self, net: str) -> bool:
         """``True`` if ``net`` is a declared primary input."""
-        return net in self._inputs
+        return net in self._input_set
 
     def nets(self) -> List[str]:
         """Every net name: primary inputs first, then gate outputs."""

@@ -5,9 +5,17 @@ These are the classic fills every low-power-test paper compares against:
 "do nothing clever" reference, and MT-fill (minimum-transition / adjacent
 fill within a pattern) minimises *shift* transitions, which is the industry
 default when capture power is not the concern.
+
+MT-fill is a forward fill of the whole matrix at once (:func:`carry_forward`):
+each care bit becomes the key ``2 * column + value``, and a running maximum
+along the row carries the key of the last care bit to every X after it.
+Keys only grow along a row, so this is exactly "the nearest earlier care
+bit", and the fill equals the one-X-at-a-time loop bit for bit.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 
@@ -59,6 +67,42 @@ class RandomFill(Filler):
         return patterns.filled(data)
 
 
+def carry_forward(
+    bits: np.ndarray,
+    care: np.ndarray,
+    restarts: Optional[np.ndarray] = None,
+    restart_values: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Forward-fill each row of the C-contiguous 0/1/X matrix ``bits``.
+
+    Each X copies the nearest care bit before it in its row, a leading X run
+    the row's first care bit; a row without care bits becomes all 0.
+    ``care`` holds the row-major flat positions of the care bits.  From each
+    flat position in ``restarts`` on, the row carries the matching
+    ``restart_values`` entry instead.  Returns the filled copy.
+    """
+    n_cols = bits.shape[1]
+    values = bits.reshape(-1)[care]
+    rows, cols = np.divmod(care, n_cols)
+    # Column 0 holds each row's first care value, for the leading X run.  The
+    # keys take the narrowest signed type that holds them (int16 up to 16384
+    # columns) to keep this matrix-sized temporary small.
+    key = np.zeros(bits.shape, dtype=np.min_scalar_type(-2 * n_cols))
+    first = np.flatnonzero(np.diff(rows, prepend=-1))
+    key[rows[first], 0] = values[first]
+    del rows, first
+    cols *= 2
+    cols += values
+    flat_key = key.reshape(-1)
+    flat_key[care] = cols
+    del cols, values
+    if restarts is not None:
+        flat_key[restarts] = 2 * (restarts % n_cols) + restart_values
+    np.maximum.accumulate(key, axis=1, out=key)
+    np.bitwise_and(key, 1, out=key)
+    return key.astype(BIT_DTYPE)
+
+
 class MinimumTransitionFill(Filler):
     """Minimum-transition (intra-pattern adjacent) fill.
 
@@ -72,25 +116,10 @@ class MinimumTransitionFill(Filler):
     name = "MT-fill"
 
     def fill(self, patterns: TestSet) -> TestSet:
-        data = patterns.matrix.copy()
-        n_patterns, n_pins = data.shape
-        for row in range(n_patterns):
-            bits = data[row]
-            specified = np.flatnonzero(bits != X)
-            if specified.size == 0:
-                bits[:] = ZERO
-                continue
-            # Fill the leading X run from the first specified bit, then sweep
-            # left to right propagating the last seen value.
-            first = int(specified[0])
-            bits[:first] = bits[first]
-            last_value = bits[first]
-            for col in range(first + 1, n_pins):
-                if bits[col] == X:
-                    bits[col] = last_value
-                else:
-                    last_value = bits[col]
-        return patterns.filled(data)
+        data = patterns.matrix
+        if data.size == 0:
+            return patterns.filled(data.copy())
+        return patterns.filled(carry_forward(data, np.flatnonzero(data.reshape(-1) != X)))
 
 
 register_filler("0-fill", ZeroFill, aliases=["zero-fill", "zero"])

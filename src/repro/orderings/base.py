@@ -5,7 +5,10 @@ from __future__ import annotations
 import abc
 from typing import Callable, Dict, List, Optional
 
+import numpy as np
+
 from repro.core.ordering import OrderingResult
+from repro.cubes.bits import ONE, ZERO
 from repro.cubes.cube import TestSet
 
 
@@ -27,6 +30,31 @@ class Ordering(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"
+
+
+def greedy_tour(
+    patterns: TestSet, distance: Callable[[np.ndarray, np.ndarray], np.ndarray]
+) -> OrderingResult:
+    """Nearest-neighbour tour from the most specified cube, lowest index on ties.
+
+    ``distance(ones, zeros)`` maps the float32 0/1 planes of the care ones
+    and zeros (``(n, pins)``, free to overwrite) to the ``(n, n)`` float32
+    distance table.  Sets of at most two cubes keep their order.
+    """
+    n = len(patterns)
+    if n <= 2:
+        return OrderingResult(ordered=patterns.copy(), permutation=list(range(n)))
+    data = patterns.matrix
+    table = distance((data == ONE).astype(np.float32), (data == ZERO).astype(np.float32))
+    current = int(np.argmin(patterns.x_counts_per_pattern()))
+    permutation = [current]
+    visited = np.zeros(n, dtype=np.float32)
+    visited[current] = np.inf
+    for __ in range(n - 1):
+        current = int(np.argmin(table[current] + visited))
+        permutation.append(current)
+        visited[current] = np.inf
+    return OrderingResult(ordered=patterns.reordered(permutation), permutation=permutation)
 
 
 _REGISTRY: Dict[str, Callable[[], Ordering]] = {}

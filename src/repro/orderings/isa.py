@@ -6,15 +6,13 @@ still contain don't-cares at ordering time, so the distance used here is the
 *conflict distance*: the number of pins on which both cubes are specified
 and disagree — exactly the toggles that no later X-fill can avoid.
 
-The tour is greedy: start from the cube with the most specified bits (the
-hardest to place anywhere) and repeatedly append the unvisited cube with the
-smallest conflict distance to the current one.  The specified-plane work is
-hoisted out of the loop (see :mod:`repro.orderings.xstat_ordering`): the
-conflict counts of one step are a single matrix–vector product over the
-pre-computed 0/1 indicator planes — exact, as integer counts stay far below
-float32's 2**24 ceiling — so the tour is bit-identical to the direct
-boolean-mask formulation at a fraction of its per-step cost.  Complexity
-stays ``O(n^2 * m)`` but with a BLAS constant.
+The tour is greedy (:func:`~repro.orderings.base.greedy_tour`): start from
+the cube with the most specified bits (the hardest to place anywhere) and
+repeatedly append the unvisited cube with the smallest conflict distance to
+the current one, the lowest index among equals.  The whole distance table
+is ``O·Zᵀ`` plus its transpose, for the 0/1 planes of the care ones ``O``
+and zeros ``Z``.  It is exact in float32 (integer counts far below 2**24),
+so the tour equals the per-step boolean-mask one, ties included.
 """
 
 from __future__ import annotations
@@ -22,9 +20,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.ordering import OrderingResult
-from repro.cubes.bits import ONE, ZERO
 from repro.cubes.cube import TestSet
-from repro.orderings.base import Ordering, register_ordering
+from repro.orderings.base import Ordering, greedy_tour, register_ordering
+
+
+def conflict_table(ones: np.ndarray, zeros: np.ndarray) -> np.ndarray:
+    """Pins on which cubes ``i`` and ``j`` are both specified and differ."""
+    ones_zeros = ones @ zeros.T
+    return ones_zeros + ones_zeros.T
 
 
 class ISAOrdering(Ordering):
@@ -33,38 +36,7 @@ class ISAOrdering(Ordering):
     name = "isa"
 
     def order(self, patterns: TestSet) -> OrderingResult:
-        n = len(patterns)
-        if n <= 2:
-            return OrderingResult(ordered=patterns.copy(), permutation=list(range(n)))
-
-        data = patterns.matrix
-        x_counts = patterns.x_counts_per_pattern()
-
-        # conflicts(i | c) = ones_i . zeros_c + zeros_i . ones_c: both
-        # specified and disagreeing, as one GEMV over the stacked planes
-        # (float32 counts are exact — integer sums far below 2**24).
-        n_pins = data.shape[1]
-        ones_plane = (data == ONE).astype(np.float32)
-        zeros_plane = (data == ZERO).astype(np.float32)
-        planes = np.concatenate([ones_plane, zeros_plane], axis=1)
-
-        visited = np.zeros(n, dtype=bool)
-        current = int(np.argmin(x_counts))
-        permutation = [current]
-        visited[current] = True
-
-        weights = np.empty(2 * n_pins, dtype=np.float32)
-        for __ in range(n - 1):
-            weights[:n_pins] = zeros_plane[current]
-            weights[n_pins:] = ones_plane[current]
-            conflicts = planes @ weights
-            conflicts[visited] = np.inf
-            nxt = int(np.argmin(conflicts))
-            permutation.append(nxt)
-            visited[nxt] = True
-            current = nxt
-
-        return OrderingResult(ordered=patterns.reordered(permutation), permutation=permutation)
+        return greedy_tour(patterns, conflict_table)
 
 
 register_ordering("isa", ISAOrdering, aliases=["isa-ordering", "girard"])

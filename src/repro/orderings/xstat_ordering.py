@@ -8,20 +8,17 @@ two cubes is
 
 where the per-pin probability is 0 or 1 when both bits are specified and
 one half when at least one of them is an X.  The ordering is a greedy
-nearest-neighbour tour under this expected-toggle distance, started from the
-most specified cube.  Compared with the ISA reconstruction (which only counts
-hard conflicts), the statistical distance also penalises placing two X-poor
+nearest-neighbour tour under this expected-toggle distance
+(:func:`~repro.orderings.base.greedy_tour`), started from the most specified
+cube.  Compared with the ISA reconstruction (which only counts hard
+conflicts), the statistical distance also penalises placing two X-poor
 cubes next to each other, which is the behaviour the X-Stat paper describes.
 
-The specified-plane work is hoisted out of the tour loop: the cube matrix is
-decomposed once into 0/1 indicator planes (specified-one, specified-zero,
-specified) and each greedy step reduces to a single matrix–vector product
-over the stacked planes instead of materialising several boolean ``(n,
-pins)`` temporaries per step.  All products are exact small-integer (and
-half-integer) sums — every term is a multiple of 0.5 far below float32's
-2**24 integer ceiling — so the selected tour is bit-identical to the direct
-formulation; ``benchmarks/bench_core.py`` keeps the direct loops around as
-the baseline and asserts exactly that before timing the win.
+The whole table is two matrix products of the 0/1 planes of the care ones
+``O``, zeros ``Z`` and bits ``S = O + Z``: ``E = O·Zᵀ + (O·Zᵀ)ᵀ − ½·S·Sᵀ +
+½·pins``.  It is exact in float32 (every entry and partial sum is a multiple
+of 0.5 far below 2**24), so the tour equals the per-step boolean-mask one,
+ties included.
 """
 
 from __future__ import annotations
@@ -29,9 +26,18 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.ordering import OrderingResult
-from repro.cubes.bits import ONE, ZERO
 from repro.cubes.cube import TestSet
-from repro.orderings.base import Ordering, register_ordering
+from repro.orderings.base import Ordering, greedy_tour, register_ordering
+from repro.orderings.isa import conflict_table
+
+
+def expected_toggle_table(ones: np.ndarray, zeros: np.ndarray) -> np.ndarray:
+    """Expected toggles between cubes ``i`` and ``j`` under a fair-coin X fill."""
+    table = conflict_table(ones, zeros)
+    specified = np.add(ones, zeros, out=ones)
+    table -= 0.5 * (specified @ specified.T)
+    table += 0.5 * ones.shape[1]
+    return table
 
 
 class XStatOrdering(Ordering):
@@ -40,44 +46,7 @@ class XStatOrdering(Ordering):
     name = "xstat"
 
     def order(self, patterns: TestSet) -> OrderingResult:
-        n = len(patterns)
-        if n <= 2:
-            return OrderingResult(ordered=patterns.copy(), permutation=list(range(n)))
-
-        data = patterns.matrix
-        n_pins = data.shape[1]
-        x_counts = patterns.x_counts_per_pattern()
-
-        # Hoisted plane decomposition: expected(i | c) = hard + 0.5 * soft
-        #   hard = ones_i . zeros_c + zeros_i . ones_c   (specified and differ)
-        #   soft = n_pins - spec_i . spec_c              (at least one X)
-        # which is one GEMV over the stacked planes per tour step.  float32
-        # is exact here — every term is a multiple of 0.5 and every partial
-        # sum is far below 2**24 — and halves the memory traffic of the
-        # n-by-3m sweep each step performs.
-        ones_plane = (data == ONE).astype(np.float32)
-        zeros_plane = (data == ZERO).astype(np.float32)
-        spec_plane = ones_plane + zeros_plane
-        planes = np.concatenate([ones_plane, zeros_plane, spec_plane], axis=1)
-
-        visited = np.zeros(n, dtype=bool)
-        current = int(np.argmin(x_counts))
-        permutation = [current]
-        visited[current] = True
-
-        weights = np.empty(3 * n_pins, dtype=np.float32)
-        for __ in range(n - 1):
-            weights[:n_pins] = zeros_plane[current]
-            weights[n_pins : 2 * n_pins] = ones_plane[current]
-            np.multiply(spec_plane[current], -0.5, out=weights[2 * n_pins :])
-            expected = planes @ weights + 0.5 * n_pins
-            expected[visited] = np.inf
-            nxt = int(np.argmin(expected))
-            permutation.append(nxt)
-            visited[nxt] = True
-            current = nxt
-
-        return OrderingResult(ordered=patterns.reordered(permutation), permutation=permutation)
+        return greedy_tour(patterns, expected_toggle_table)
 
 
 register_ordering("xstat", XStatOrdering, aliases=["xstat-ordering", "x-stat-ordering"])

@@ -9,6 +9,8 @@ sweep random ones).
 from __future__ import annotations
 
 import itertools
+import os
+import time
 from typing import Iterable, List, Sequence
 
 import numpy as np
@@ -115,3 +117,20 @@ def random_small_cube_set(
     for row, col in positions[: min(n_x, len(positions))]:
         data[row, col] = X
     return TestSet.from_matrix(data)
+
+
+def wait_until_claimed(spool: str, task_ids: Iterable[str], timeout: float = 60.0) -> None:
+    """Block until every task in ``task_ids`` has left the queue of ``spool``.
+
+    A queue parent only executes tasks itself inside ``next_result``, so
+    before that call a worker is the only possible claimant.  Tests that
+    need a worker (not the parent's self-drain) to run a task wait here for
+    the claim instead of racing worker start-up against the self-drain timer.
+    """
+    deadline = time.monotonic() + timeout
+    for task_id in task_ids:
+        queued = os.path.join(spool, "tasks", f"{task_id}.task")
+        while os.path.exists(queued):
+            if time.monotonic() > deadline:
+                raise AssertionError(f"no worker claimed task {task_id} within {timeout:.0f}s")
+            time.sleep(0.01)

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.benchmarks_data.profiles import get_profile
 from repro.circuit.generator import CircuitSpec, generate_circuit, scaled_spec
 from repro.circuit.library import b01_like_fsm, c17, itc99_like
 from repro.circuit.simulator import LogicSimulator, ThreeValuedSimulator
 from repro.cubes.bits import ONE, X, ZERO
+from repro.experiments.workloads import SCALED_GATE_TARGET
 
 
 def _c17_reference(g1, g2, g3, g6, g7):
@@ -101,7 +103,42 @@ class TestThreeValuedSimulator:
             sim.simulate_cube([0, 1])
 
 
+#: ``structure_digest()`` of every Table I profile at the scale
+#: ``build_workload`` uses by default, with the profile's default seed.  Every table
+#: and cube set downstream depends on these netlists, so a change to the
+#: generator's draws must show up here.
+PROFILE_DIGESTS = {
+    "b01": "8c2571466eb7b74e0e84876e05278a7a",
+    "b02": "e88233acdc932b9a9ac8ae77ebb445c7",
+    "b03": "028d4d36f5b9e39c3d140860afb576c8",
+    "b04": "a0fa6683d883247e4806328f3bb57303",
+    "b05": "277e253d2e9142670fe2586b18301239",
+    "b06": "814cdf39b426d7bbf2fc684ff34d38eb",
+    "b07": "52027185fa9050438b4a0ccf62bf6ec1",
+    "b08": "82cc19fd4426cdf6dee898ce23ed2472",
+    "b09": "c79c55fd0db8c6792ec3741a186c3b6b",
+    "b10": "93f047839e61e55ea781dfc2c84cc241",
+    "b11": "499b796be80980efd6a2bc93fe9cc3fc",
+    "b12": "d4462f4fbbecb12d0d2843398d1ae90c",
+    "b13": "7f2d9423fb856252ba78b4a2360f0c2a",
+    "b14": "88da7749458beec38037ba2ee16c3e3e",
+    "b15": "a97677c71f31c9225f781d6c1b4e6fd9",
+    "b17": "81df98de25b4f944b8a54e6d305d9928",
+    "b18": "71760018781021e76e6a695390469b8f",
+    "b19": "b4f5a1fef88ed196e8dc9d1c9011e428",
+    "b20": "0794777400f905e64b2c143bd2c24eab",
+    "b21": "0ceeaa40019b37ab77de1a868b2d687e",
+    "b22": "75881f740b8ed6e95e4ff8b8d4056e3a",
+}
+
+
 class TestCircuitGenerator:
+    @pytest.mark.parametrize("name", sorted(PROFILE_DIGESTS))
+    def test_profile_netlists_are_pinned(self, name):
+        gates = get_profile(name).gates
+        scale = SCALED_GATE_TARGET / gates if gates > SCALED_GATE_TARGET else None
+        assert itc99_like(name, scale=scale).structure_digest() == PROFILE_DIGESTS[name]
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             CircuitSpec(name="x", n_primary_inputs=0, n_flip_flops=1, n_gates=10)

@@ -47,6 +47,7 @@ from repro.cluster import (
 from repro.cluster.protocol import worker_context
 from repro.cluster.transport import claim_task, write_result
 from repro.engine import NaiveFaultSimulator, PackedFaultSimulator, available_backends, get_backend
+from tests.helpers import wait_until_claimed
 
 
 def _random_patterns(circuit, n_patterns: int, seed: int = 0) -> np.ndarray:
@@ -605,6 +606,7 @@ class TestWorkerEntrypoint:
                 time.sleep(0.02)
             assert os.listdir(workers_dir), "worker never heartbeated"
             ids = [transport.submit({"kind": "echo", "payload": i}) for i in range(2)]
+            wait_until_claimed(spool, ids)  # by the external worker
             got = {}
             for _ in ids:
                 task_id, value = transport.next_result(timeout=60.0)

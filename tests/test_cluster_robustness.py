@@ -56,6 +56,7 @@ from repro.cluster.worker import build_parser, clean_spool
 from repro.cluster.worker import main as worker_main
 from repro.cubes.cube import TestSet
 from repro.engine import PackedFaultSimulator
+from tests.helpers import wait_until_claimed
 
 
 def _patterns(circuit, n=120, seed=1):
@@ -351,6 +352,9 @@ class TestChaosEndToEnd:
         )
         try:
             task_id = transport.submit({"kind": "echo", "payload": 21})
+            # The worker claims the task and dies; only then may the parent
+            # poll, or its self-drain could run the task first.
+            wait_until_claimed(transport.spool, [task_id])
             assert transport.next_result(timeout=60.0) == (task_id, 21)
             assert transport.retries >= 1  # the killed claim expired
             assert transport.quarantined == []

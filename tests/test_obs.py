@@ -47,6 +47,7 @@ from repro.engine import NaiveFaultSimulator, PackedFaultSimulator, get_backend
 from repro.obs import manifest as obs_manifest
 from repro.obs import metrics as obs_metrics
 from repro.obs import recorder as obs
+from tests.helpers import wait_until_claimed
 
 
 @pytest.fixture(autouse=True)
@@ -553,6 +554,7 @@ class TestQueueEvents:
         )
         try:
             task_id = transport.submit({"kind": "echo", "payload": "hi"})
+            wait_until_claimed(transport.spool, [task_id])  # by the worker
             assert transport.next_result(timeout=30.0) == (task_id, "hi")
             events_dir = spool_events_dir(transport.spool)
             # Ask the worker to exit via the stop file (close() SIGTERMs,
